@@ -55,8 +55,13 @@
 //!
 //! The recorder is process-global (the [`crate::Mapper`] trait cannot
 //! thread a handle through every implementation), so concurrent profiled
-//! runs interleave into one report. Tests that assert on counter values
-//! serialize themselves around the session (see the invariance suite).
+//! runs interleave into one report. This holds for unprofiled runs too:
+//! while a session is armed, the probes of every thread in the process
+//! land in its report, whether or not that thread's caller asked for
+//! recording. A test binary that arms recording must therefore serialize
+//! *every* test that runs instrumented code (any mapper, the `par` pool,
+//! netsim) around the session, not only the tests that assert on counter
+//! values (see the invariance suite).
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;

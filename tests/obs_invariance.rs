@@ -4,9 +4,13 @@
 //! bit-identical result to the same run with recording OFF — and the
 //! counters it emits must be internally consistent and thread-invariant.
 //!
-//! The recorder is process-global, so every test that toggles it holds
-//! [`OBS_LOCK`] for its whole body (Rust's test harness runs tests in
-//! parallel threads of one process).
+//! The recorder is process-global, and Rust's test harness runs tests in
+//! parallel threads of one process. An armed session records the probes
+//! of *every* thread, not only the thread that armed it. So every test in
+//! this binary that arms the recorder **or runs instrumented code** (any
+//! mapper, the `par` pool, netsim) holds [`OBS_LOCK`] for its whole body;
+//! an unlocked instrumented test bleeds its counters into whichever
+//! session happens to be armed at the time.
 
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -377,6 +381,7 @@ proptest! {
         seed in any::<u64>(),
         iters in 1usize..=3,
     ) {
+        let _l = obs_guard();
         let topo = routed_for(topo_idx, g.num_tasks().max(9));
         let m = RandomMap::new(seed).map(&g, topo.as_ref());
         let tr = stencil_trace(&g, iters, 1_000);
